@@ -22,22 +22,21 @@ constexpr uint64_t kCounterSampleMask = (1u << 8) - 1;
 }  // namespace
 
 std::optional<uint64_t> AllocatorBase::Malloc(uint64_t size, const RequestContext& ctx) {
-  // Latency measurement is armed while anyone listens — a stats hook or process telemetry. Two
-  // clock reads per op are measurable noise on the replay hot path and dead weight otherwise.
+  // Latency measurement is armed only with process telemetry: two clock reads per op are
+  // measurable noise on the replay hot path, and a STALLOC_TELEMETRY=OFF build folds
+  // telemetry_on to false and compiles the timer out.
   Stopwatch timer{Stopwatch::Unstarted{}};
   const bool telemetry_on = telemetry::Enabled();
-  const bool timed = hook_ != nullptr || telemetry_on;
-  if (timed) {
+  if (telemetry_on) {
     timer.Reset();
   }
   ++stats_.num_mallocs;
-  if (size == 0) {
+  // Zero-byte and oversized requests are refused here, once for every allocator: no policy's
+  // size round-up ever sees a size it could wrap.
+  if (size == 0 || size > kMaxRequestBytes) {
     ++stats_.num_oom;
     if (telemetry_on) {
       RecordTelemetryOom(size);
-    }
-    if (hook_ != nullptr) {
-      hook_->OnOom(size, Snapshot());
     }
     return std::nullopt;
   }
@@ -47,9 +46,6 @@ std::optional<uint64_t> AllocatorBase::Malloc(uint64_t size, const RequestContex
     NotePressure();
     if (telemetry_on) {
       RecordTelemetryOom(size);
-    }
-    if (hook_ != nullptr) {
-      hook_->OnOom(size, Snapshot());
     }
     return std::nullopt;
   }
@@ -76,20 +72,13 @@ std::optional<uint64_t> AllocatorBase::Malloc(uint64_t size, const RequestContex
   NotePressure();
   // Heap-map capture: one relaxed armed() load when telemetry is on but no heap map was
   // requested; compiled out entirely when STALLOC_TELEMETRY is off (telemetry_on is constant
-  // false). Runs before the hook so a hook-driven abort still leaves the snapshot recorded.
+  // false).
   if (telemetry_on &&
       (heap_ != nullptr || telemetry::HeapMapRecorder::Global().armed())) {
     MaybeHeapMapMalloc(*addr, ctx);
   }
-  if (timed) {
-    const double us = timer.ElapsedSeconds() * 1e6;
-    stats_.malloc_latency_us += us;
-    if (telemetry_on) {
-      RecordTelemetryOp(telemetry::FlightOp::Kind::kMalloc, size, us);
-    }
-    if (hook_ != nullptr) {
-      hook_->OnMalloc(size, us, Snapshot());
-    }
+  if (telemetry_on) {
+    RecordTelemetryOp(telemetry::FlightOp::Kind::kMalloc, size, timer.ElapsedSeconds() * 1e6);
   }
   return addr;
 }
@@ -97,8 +86,7 @@ std::optional<uint64_t> AllocatorBase::Malloc(uint64_t size, const RequestContex
 bool AllocatorBase::Free(uint64_t addr) {
   Stopwatch timer{Stopwatch::Unstarted{}};
   const bool telemetry_on = telemetry::Enabled();
-  const bool timed = hook_ != nullptr || telemetry_on;
-  if (timed) {
+  if (telemetry_on) {
     timer.Reset();
   }
   auto it = live_.find(addr);
@@ -124,15 +112,8 @@ bool AllocatorBase::Free(uint64_t addr) {
   if (telemetry_on && heap_ != nullptr) {
     MaybeHeapMapFree(addr);
   }
-  if (timed) {
-    const double us = timer.ElapsedSeconds() * 1e6;
-    stats_.free_latency_us += us;
-    if (telemetry_on) {
-      RecordTelemetryOp(telemetry::FlightOp::Kind::kFree, size, us);
-    }
-    if (hook_ != nullptr) {
-      hook_->OnFree(size, us, Snapshot());
-    }
+  if (telemetry_on) {
+    RecordTelemetryOp(telemetry::FlightOp::Kind::kFree, size, timer.ElapsedSeconds() * 1e6);
   }
   return true;
 }

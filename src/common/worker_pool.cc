@@ -32,39 +32,34 @@ WorkerPool::~WorkerPool() {
   }
 }
 
-void WorkerPool::WorkOn() {
-  const std::function<void(size_t)>* fn = fn_;
-  const size_t n = batch_size_;
-  size_t done_here = 0;
-  for (;;) {
-    const size_t i = next_index_.fetch_add(1, std::memory_order_relaxed);
-    if (i >= n) {
-      break;
-    }
-    (*fn)(i);
-    ++done_here;
-  }
-  if (done_here > 0) {
-    std::lock_guard<std::mutex> lock(mu_);
-    completed_ += done_here;
-    if (completed_ == n) {
-      done_cv_.notify_all();
-    }
+void WorkerPool::Drain(const std::function<void(size_t)>& fn, size_t n) {
+  for (size_t i = next_index_.fetch_add(1, std::memory_order_relaxed); i < n;
+       i = next_index_.fetch_add(1, std::memory_order_relaxed)) {
+    fn(i);
   }
 }
 
 void WorkerPool::ThreadMain() {
   uint64_t seen_batch = 0;
+  std::unique_lock<std::mutex> lock(mu_);
   for (;;) {
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      work_cv_.wait(lock, [&] { return shutdown_ || batch_id_ != seen_batch; });
-      if (shutdown_) {
-        return;
-      }
-      seen_batch = batch_id_;
+    work_cv_.wait(lock, [&] { return shutdown_ || batch_id_ != seen_batch; });
+    if (shutdown_) {
+      return;
     }
-    WorkOn();
+    seen_batch = batch_id_;
+    if (fn_ == nullptr) {
+      continue;  // woke after the batch had already finished: nothing left to join
+    }
+    const std::function<void(size_t)>& fn = *fn_;
+    const size_t n = batch_size_;
+    ++joined_;
+    lock.unlock();
+    Drain(fn, n);
+    lock.lock();
+    if (--joined_ == 0) {
+      done_cv_.notify_all();
+    }
   }
 }
 
@@ -82,14 +77,15 @@ void WorkerPool::ParallelFor(size_t n, const std::function<void(size_t)>& fn) {
     std::lock_guard<std::mutex> lock(mu_);
     fn_ = &fn;
     batch_size_ = n;
-    completed_ = 0;
     next_index_.store(0, std::memory_order_relaxed);
     ++batch_id_;
   }
   work_cv_.notify_all();
-  WorkOn();  // the caller pulls indices too
+  Drain(fn, n);  // the caller pulls indices too
+  // Every index is claimed once the caller's Drain returns; the ones still running belong to
+  // joined threads, which finish them before leaving.
   std::unique_lock<std::mutex> lock(mu_);
-  done_cv_.wait(lock, [&] { return completed_ == batch_size_; });
+  done_cv_.wait(lock, [&] { return joined_ == 0; });
   fn_ = nullptr;
 }
 

@@ -43,19 +43,23 @@ class WorkerPool {
 
  private:
   void ThreadMain();
-  void WorkOn();  // pull indices until the current batch drains
+  // Pulls indices of the current batch until it drains.
+  void Drain(const std::function<void(size_t)>& fn, size_t n);
 
   const int workers_;
   std::vector<std::thread> threads_;
 
+  // fn_, batch_size_, batch_id_, joined_ and shutdown_ are guarded by mu_. A thread reads the
+  // batch only under mu_ and counts itself into joined_ there; the caller does not return (so
+  // fn stays alive and next_index_ is not reset for the next batch) until joined_ is back to 0.
   std::mutex mu_;
   std::condition_variable work_cv_;   // signals threads: a batch is ready (or shutting down)
-  std::condition_variable done_cv_;   // signals the caller: batch fully finished
-  const std::function<void(size_t)>* fn_ = nullptr;
+  std::condition_variable done_cv_;   // signals the caller: every joined thread has left
+  const std::function<void(size_t)>* fn_ = nullptr;  // null between batches
   size_t batch_size_ = 0;
   uint64_t batch_id_ = 0;             // bumped per ParallelFor so threads see a fresh batch
   std::atomic<size_t> next_index_{0};
-  size_t completed_ = 0;              // guarded by mu_
+  int joined_ = 0;                    // pool threads inside Drain for the current batch
   bool shutdown_ = false;
 };
 

@@ -195,211 +195,6 @@ bool ReadTraceCsvFile(const std::string& path, Trace* out, TraceIoError* err) {
   return ReadTraceCsv(is, out, err);
 }
 
-namespace {
-
-constexpr char kBinaryMagic[4] = {'S', 'T', 'L', 'B'};
-constexpr uint32_t kBinaryVersion = 1;
-
-template <typename T>
-void Put(std::ostream& os, T value) {
-  os.write(reinterpret_cast<const char*>(&value), sizeof(value));
-}
-
-void PutString(std::ostream& os, const std::string& s) {
-  Put<uint32_t>(os, static_cast<uint32_t>(s.size()));
-  os.write(s.data(), static_cast<std::streamsize>(s.size()));
-}
-
-// Offset-tracking binary reader: every failed Get reports how far into the stream the
-// truncation or corruption sits.
-class BinReader {
- public:
-  explicit BinReader(std::istream& is) : is_(is) {}
-
-  uint64_t offset() const { return offset_; }
-  bool failed() const { return failed_; }
-  const std::string& error() const { return error_; }
-
-  template <typename T>
-  bool Get(T* value) {
-    if (failed_) {
-      return false;
-    }
-    is_.read(reinterpret_cast<char*>(value), sizeof(T));
-    if (!is_) {
-      return Fail("truncated binary trace");
-    }
-    offset_ += sizeof(T);
-    return true;
-  }
-
-  bool GetString(std::string* s) {
-    uint32_t n = 0;
-    if (!Get(&n)) {
-      return false;
-    }
-    if (n > (1u << 20)) {
-      return Fail("implausible string length in binary trace");
-    }
-    s->assign(n, '\0');
-    if (n > 0) {
-      is_.read(s->data(), n);
-      if (!is_) {
-        return Fail("truncated binary trace");
-      }
-    }
-    offset_ += n;
-    return true;
-  }
-
-  bool Fail(std::string message) {
-    if (!failed_) {
-      failed_ = true;
-      error_ = std::move(message);
-    }
-    return false;
-  }
-
- private:
-  std::istream& is_;
-  uint64_t offset_ = 0;
-  bool failed_ = false;
-  std::string error_;
-};
-
-}  // namespace
-
-void WriteTraceBinary(const Trace& trace, std::ostream& os) {
-  os.write(kBinaryMagic, sizeof(kBinaryMagic));
-  Put<uint32_t>(os, kBinaryVersion);
-  PutString(os, trace.name());
-
-  Put<uint32_t>(os, static_cast<uint32_t>(trace.phases().size()));
-  for (const auto& p : trace.phases()) {
-    Put<uint8_t>(os, static_cast<uint8_t>(p.kind));
-    Put<int32_t>(os, p.microbatch);
-    Put<int32_t>(os, p.chunk);
-    Put<uint64_t>(os, p.start);
-    Put<uint64_t>(os, p.end);
-  }
-  Put<uint32_t>(os, static_cast<uint32_t>(trace.layers().size()));
-  for (const auto& l : trace.layers()) {
-    PutString(os, l.name);
-    Put<uint64_t>(os, l.start);
-    Put<uint64_t>(os, l.end);
-  }
-  Put<uint64_t>(os, trace.size());
-  for (const auto& e : trace.events()) {
-    Put<uint64_t>(os, e.size);
-    Put<uint64_t>(os, e.ts);
-    Put<uint64_t>(os, e.te);
-    Put<int32_t>(os, e.ps);
-    Put<int32_t>(os, e.pe);
-    Put<uint8_t>(os, e.dyn ? 1 : 0);
-    Put<int32_t>(os, e.ls);
-    Put<int32_t>(os, e.le);
-    Put<uint8_t>(os, e.stream);
-  }
-}
-
-bool WriteTraceBinaryFile(const Trace& trace, const std::string& path) {
-  std::ofstream os(path, std::ios::binary);
-  if (!os) {
-    return false;
-  }
-  WriteTraceBinary(trace, os);
-  return static_cast<bool>(os);
-}
-
-bool ReadTraceBinary(std::istream& is, Trace* out, TraceIoError* err) {
-  *out = Trace();
-  BinReader r(is);
-  char magic[4];
-  is.read(magic, sizeof(magic));
-  if (!is || std::memcmp(magic, kBinaryMagic, 4) != 0) {
-    SetError(err, "not a binary stalloc trace", 0);
-    return false;
-  }
-  uint32_t version = 0;
-  if (!r.Get(&version)) {
-    SetError(err, r.error(), sizeof(magic) + r.offset());
-    return false;
-  }
-  if (version != kBinaryVersion) {
-    SetError(err, "unsupported binary trace version " + std::to_string(version),
-             sizeof(magic));
-    return false;
-  }
-  // All offsets below are relative to the reader, which starts after the magic.
-  auto fail = [&](const std::string& message) {
-    SetError(err, message, sizeof(magic) + r.offset());
-    return false;
-  };
-
-  std::string name;
-  if (!r.GetString(&name)) {
-    return fail(r.error());
-  }
-  out->set_name(std::move(name));
-
-  uint32_t num_phases = 0;
-  if (!r.Get(&num_phases)) {
-    return fail(r.error());
-  }
-  for (uint32_t i = 0; i < num_phases; ++i) {
-    PhaseInfo p;
-    uint8_t kind = 0;
-    if (!r.Get(&kind) || !r.Get(&p.microbatch) || !r.Get(&p.chunk) || !r.Get(&p.start) ||
-        !r.Get(&p.end)) {
-      return fail(r.error());
-    }
-    p.kind = static_cast<PhaseKind>(kind);
-    out->AddPhase(p);
-  }
-  uint32_t num_layers = 0;
-  if (!r.Get(&num_layers)) {
-    return fail(r.error());
-  }
-  for (uint32_t i = 0; i < num_layers; ++i) {
-    LayerInfo l;
-    if (!r.GetString(&l.name) || !r.Get(&l.start) || !r.Get(&l.end)) {
-      return fail(r.error());
-    }
-    out->AddLayer(std::move(l));
-  }
-  uint64_t num_events = 0;
-  if (!r.Get(&num_events)) {
-    return fail(r.error());
-  }
-  for (uint64_t i = 0; i < num_events; ++i) {
-    MemoryEvent e;
-    uint8_t dyn = 0;
-    if (!r.Get(&e.size) || !r.Get(&e.ts) || !r.Get(&e.te) || !r.Get(&e.ps) || !r.Get(&e.pe) ||
-        !r.Get(&dyn) || !r.Get(&e.ls) || !r.Get(&e.le) || !r.Get(&e.stream)) {
-      return fail(r.error());
-    }
-    e.dyn = dyn != 0;
-    if (e.ts >= e.te) {
-      return fail("event " + std::to_string(i) + " has non-positive lifespan");
-    }
-    out->AddEvent(e);
-  }
-  std::string validation;
-  if (!out->Valid(&validation)) {
-    return fail("invalid trace: " + validation);
-  }
-  return true;
-}
-
-bool ReadTraceBinaryFile(const std::string& path, Trace* out, TraceIoError* err) {
-  std::ifstream is(path, std::ios::binary);
-  if (!is) {
-    SetError(err, "cannot open trace file " + path, 0);
-    return false;
-  }
-  return ReadTraceBinary(is, out, err);
-}
-
 bool ReadTraceAnyFile(const std::string& path, Trace* out, TraceIoError* err) {
   char magic[4] = {0, 0, 0, 0};
   {
@@ -417,9 +212,6 @@ bool ReadTraceAnyFile(const std::string& path, Trace* out, TraceIoError* err) {
     }
     *out = view.Materialize();
     return true;
-  }
-  if (std::memcmp(magic, kBinaryMagic, 4) == 0) {
-    return ReadTraceBinaryFile(path, out, err);
   }
   return ReadTraceCsvFile(path, out, err);
 }

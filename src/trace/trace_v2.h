@@ -1,7 +1,7 @@
 // Columnar binary trace format (v2) + mmap-streamed replay access.
 //
-// v1 formats (CSV / "STLB" row binary) fully materialize a std::vector<MemoryEvent> before
-// replay, which caps realistic scale around ~100k ops. Production STAlloc profiles are
+// The CSV format fully materializes a std::vector<MemoryEvent> before replay, which caps
+// realistic scale around ~100k ops. Production STAlloc profiles are
 // multi-GB day-long traces; v2 lays the trace out column-major so the replay hot loop touches
 // exactly the bytes it needs, straight out of an mmap'd file, with zero per-event heap
 // allocation:
@@ -204,7 +204,7 @@ class TraceView {
   MemoryEvent Event(uint64_t id) const;
 
   // Builds an owned Trace with identical event ids — the bridge to code that still needs a
-  // materialized trace (plan synthesis, v1 writers).
+  // materialized trace (plan synthesis, the CSV writer).
   Trace Materialize() const;
 
  private:

@@ -1,41 +1,28 @@
-// Coverage for the instrumented Allocator interface (src/allocators/allocator.h): the built-in
-// AllocatorStats counters (bytes moved, per-op latency) and the AllocatorStatsHook per-op
-// observer — the instrumentation every driver now reads instead of keeping its own counters.
+// Coverage for the accounting every allocator shares through AllocatorBase
+// (src/allocators/allocator.h): the built-in AllocatorStats counters (bytes moved, live
+// blocks, OOMs), the efficiency figures derived from them, and the request-size ceiling that
+// refuses oversized mallocs before any allocator's policy sees them.
 
 #include <cstdint>
-#include <vector>
+#include <limits>
+#include <memory>
+#include <string>
 
 #include <gtest/gtest.h>
 
 #include "src/allocators/caching_allocator.h"
 #include "src/allocators/native_allocator.h"
+#include "src/allocators/registry.h"
 #include "src/common/units.h"
+#include "src/core/profiler.h"
+#include "src/driver/experiment.h"
 #include "src/gpu/sim_device.h"
+#include "src/trace/synthetic.h"
 
 namespace stalloc {
 namespace {
 
-class RecordingHook : public AllocatorStatsHook {
- public:
-  struct Op {
-    char kind;  // 'm', 'f', 'o'
-    uint64_t size;
-    double latency_us;
-    AllocatorSnapshot after;
-  };
-  void OnMalloc(uint64_t size, double latency_us, const AllocatorSnapshot& after) override {
-    ops.push_back({'m', size, latency_us, after});
-  }
-  void OnFree(uint64_t size, double latency_us, const AllocatorSnapshot& after) override {
-    ops.push_back({'f', size, latency_us, after});
-  }
-  void OnOom(uint64_t size, const AllocatorSnapshot& at) override {
-    ops.push_back({'o', size, 0, at});
-  }
-  std::vector<Op> ops;
-};
-
-TEST(AllocatorStats, BytesMovedAccumulateWithoutAHook) {
+TEST(AllocatorStats, BytesMovedAccumulate) {
   SimDevice dev(1 * GiB);
   NativeAllocator alloc(&dev);
   auto a = alloc.Malloc(10 * MiB);
@@ -48,59 +35,44 @@ TEST(AllocatorStats, BytesMovedAccumulateWithoutAHook) {
   EXPECT_EQ(s.bytes_freed_total, 10 * MiB);
   EXPECT_EQ(s.allocated_current, 6 * MiB);
   EXPECT_EQ(s.live_blocks, 1u);
-  // Latency measurement stays off while nobody listens.
-  EXPECT_EQ(s.malloc_latency_us, 0.0);
-  EXPECT_EQ(s.free_latency_us, 0.0);
 }
 
-TEST(AllocatorStats, HookSeesEveryOpWithConsistentSnapshots) {
+TEST(AllocatorStats, CountersTrackEveryOp) {
   SimDevice dev(1 * GiB);
   CachingAllocator alloc(&dev);
-  RecordingHook hook;
-  alloc.SetStatsHook(&hook);
-
   auto a = alloc.Malloc(8 * MiB);
+  ASSERT_TRUE(a.has_value());
+  EXPECT_EQ(alloc.stats().allocated_current, 8 * MiB);
   auto b = alloc.Malloc(3 * MiB);
-  ASSERT_TRUE(a.has_value() && b.has_value());
-  alloc.Free(*a);
-  alloc.Free(*b);
+  ASSERT_TRUE(b.has_value());
+  EXPECT_EQ(alloc.stats().allocated_current, 11 * MiB);
+  EXPECT_GE(alloc.ReservedBytes(), alloc.stats().allocated_current);
+  ASSERT_TRUE(alloc.Free(*a));
+  EXPECT_EQ(alloc.stats().allocated_current, 3 * MiB);
+  ASSERT_TRUE(alloc.Free(*b));
+  EXPECT_FALSE(alloc.Free(*b));  // unknown address: not counted as a free
 
-  ASSERT_EQ(hook.ops.size(), 4u);
-  EXPECT_EQ(hook.ops[0].kind, 'm');
-  EXPECT_EQ(hook.ops[0].size, 8 * MiB);
-  EXPECT_EQ(hook.ops[0].after.allocated, 8 * MiB);
-  EXPECT_EQ(hook.ops[1].after.allocated, 11 * MiB);
-  EXPECT_EQ(hook.ops[2].kind, 'f');
-  EXPECT_EQ(hook.ops[2].after.allocated, 3 * MiB);
-  EXPECT_EQ(hook.ops[3].after.allocated, 0u);
-  for (size_t i = 0; i < hook.ops.size(); ++i) {
-    EXPECT_GE(hook.ops[i].latency_us, 0.0) << i;
-    EXPECT_EQ(hook.ops[i].after.op_index, i + 1) << i;
-    EXPECT_GE(hook.ops[i].after.reserved, hook.ops[i].after.allocated) << i;
-    EXPECT_GE(hook.ops[i].after.Fragmentation(), 0.0) << i;
-  }
-  // While the hook is installed, per-op wall time accumulates into the shared stats.
-  EXPECT_GT(alloc.stats().malloc_latency_us, 0.0);
-  EXPECT_GT(alloc.stats().free_latency_us, 0.0);
+  const AllocatorStats& s = alloc.stats();
+  EXPECT_EQ(s.allocated_current, 0u);
+  EXPECT_EQ(s.allocated_peak, 11 * MiB);
+  EXPECT_EQ(s.num_mallocs, 2u);
+  EXPECT_EQ(s.num_frees, 2u);
+  EXPECT_EQ(s.live_blocks, 0u);
+  EXPECT_GE(s.reserved_peak, s.allocated_peak);
 }
 
-TEST(AllocatorStats, HookObservesOomAndClearingStopsDelivery) {
+TEST(AllocatorStats, FailedMallocCountsAnOom) {
   SimDevice dev(16 * MiB);
   NativeAllocator alloc(&dev);
-  RecordingHook hook;
-  alloc.SetStatsHook(&hook);
-
   EXPECT_FALSE(alloc.Malloc(64 * MiB).has_value());
-  ASSERT_EQ(hook.ops.size(), 1u);
-  EXPECT_EQ(hook.ops[0].kind, 'o');
-  EXPECT_EQ(hook.ops[0].size, 64 * MiB);
   EXPECT_EQ(alloc.stats().num_oom, 1u);
+  EXPECT_EQ(alloc.stats().num_mallocs, 1u);
+  EXPECT_EQ(alloc.stats().allocated_current, 0u);
 
-  alloc.SetStatsHook(nullptr);
   auto a = alloc.Malloc(1 * MiB);
   ASSERT_TRUE(a.has_value());
   alloc.Free(*a);
-  EXPECT_EQ(hook.ops.size(), 1u);  // no further deliveries after the hook is cleared
+  EXPECT_EQ(alloc.stats().num_oom, 1u);
 }
 
 TEST(AllocatorStats, EfficiencyAndFragmentationDeriveFromPeaks) {
@@ -113,6 +85,42 @@ TEST(AllocatorStats, EfficiencyAndFragmentationDeriveFromPeaks) {
   AllocatorStats empty;
   EXPECT_DOUBLE_EQ(empty.MemoryEfficiency(), 1.0);
   EXPECT_EQ(empty.FragmentationBytes(), 0u);
+}
+
+// Every registered kind, the plan-driven STAlloc kinds included (built from a small profiled
+// trace), refuses sizes its round-up arithmetic could wrap, and a request right at the ceiling
+// reaches the policy and fails there as an ordinary capacity OOM: each one is a counted OOM
+// that leaves the ledger untouched, and the allocator keeps serving afterwards.
+TEST(AllocatorStats, OversizedRequestsAreRefusedByEveryKind) {
+  constexpr uint64_t kCapacity = 4 * GiB;
+  constexpr uint64_t kMax = std::numeric_limits<uint64_t>::max();
+  const Trace trace = BuildSyntheticTrace(SyntheticSpec{SyntheticMix::kTraining, 2000, 3});
+  for (const AllocatorRegistry::Entry& entry : AllocatorRegistry::Global().entries()) {
+    SimDevice dev(kCapacity);
+    std::unique_ptr<Allocator> alloc;
+    if (entry.requires_plan) {
+      ExperimentResult unused;
+      alloc = MakeSTAllocFromProfile(ProfileTrace(trace, kCapacity), entry.kind, &dev, &unused);
+    } else {
+      alloc = AllocatorRegistry::Global().Create(entry.name, &dev);
+    }
+    ASSERT_NE(alloc, nullptr) << entry.name;
+
+    auto warm = alloc->Malloc(1 * MiB);
+    ASSERT_TRUE(warm.has_value()) << entry.name;
+    const uint64_t allocated = alloc->stats().allocated_current;
+    for (uint64_t size : {kMax, kMax - 511, kMaxRequestBytes + 1, kMaxRequestBytes}) {
+      const uint64_t ooms = alloc->stats().num_oom;
+      EXPECT_FALSE(alloc->Malloc(size).has_value()) << entry.name << " size " << size;
+      EXPECT_EQ(alloc->stats().num_oom, ooms + 1) << entry.name << " size " << size;
+      EXPECT_EQ(alloc->stats().allocated_current, allocated) << entry.name << " size " << size;
+    }
+    auto after = alloc->Malloc(2 * MiB);
+    ASSERT_TRUE(after.has_value()) << entry.name;
+    EXPECT_EQ(alloc->stats().allocated_current, allocated + 2 * MiB) << entry.name;
+    EXPECT_TRUE(alloc->Free(*after)) << entry.name;
+    EXPECT_TRUE(alloc->Free(*warm)) << entry.name;
+  }
 }
 
 }  // namespace

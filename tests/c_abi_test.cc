@@ -67,6 +67,22 @@ TEST(CAbi, OomReturnsZeroAndSetsError) {
   stalloc_destroy(h);
 }
 
+// A size no device can hold — one whose round-up would wrap 64 bits — is an ordinary OOM
+// across the boundary, for every kind a client can create, and the handle stays usable.
+TEST(CAbi, MaxSizeMallocReturnsZeroAndSetsError) {
+  for (const std::string& name : AllocatorRegistry::Global().Names(false)) {
+    stalloc_handle* h = stalloc_create(name.c_str(), 1 * GiB, nullptr);
+    ASSERT_NE(h, nullptr) << name << ": " << stalloc_last_error();
+    EXPECT_EQ(stalloc_free(h, 0xdeadbeef), -1);  // leaves an unrelated error behind
+    EXPECT_EQ(stalloc_malloc(h, UINT64_MAX, 0), 0u) << name;
+    EXPECT_EQ(std::string(stalloc_last_error()), "stalloc_malloc: out of memory") << name;
+    const uint64_t a = stalloc_malloc(h, 1 * MiB, 0);
+    EXPECT_NE(a, 0u) << name;
+    EXPECT_EQ(stalloc_free(h, a), 0) << name;
+    stalloc_destroy(h);
+  }
+}
+
 TEST(CAbi, StatsJsonIsValidAndSizeQueryable) {
   stalloc_handle* h = stalloc_create("vmm", 1 * GiB, nullptr);
   ASSERT_NE(h, nullptr);

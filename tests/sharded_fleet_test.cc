@@ -231,5 +231,28 @@ TEST(ShardedFleet, ParallelRunsAreReproducible) {
   }
 }
 
+// Regression for an intermittent SIGSEGV (and occasional hang) in fleet-day runs: a pool
+// thread woken for one ParallelFor could read the batch's function pointer and size after the
+// batch had finished and the next one was being published, then call a null or dead function.
+// The window loop issues one ParallelFor per scheduler boundary, so a diurnal queue on a fleet
+// with fewer shards than workers (idle threads every window) and hundreds of boundaries is the
+// shape that hit it. Every day must run to completion and match the serial digest.
+TEST(ShardedFleet, ManyWindowsWithIdleWorkersMatchSerial) {
+  ClusterWorkloadConfig wl = SmallMixedWorkload();
+  wl.num_jobs = 24;
+  wl.mean_interarrival = 2 * 86400 / 24;
+  wl.min_interarrival = 0;
+  wl.diurnal_amplitude = 0.8;
+  wl.diurnal_period = 86400;
+  const auto jobs = GenerateClusterWorkload(wl, 42);
+  const std::vector<uint64_t> caps(8, 16 * GiB);
+  const ClusterResult serial = RunCluster(Fleet(SchedulerPolicy::kFirstFit, caps, 0), jobs);
+  FleetConfig fleet = Fleet(SchedulerPolicy::kFirstFit, caps, 16);
+  fleet.shards = 2;  // 14 of 16 threads idle in every window
+  for (int run = 0; run < 12; ++run) {
+    EXPECT_EQ(RunCluster(fleet, jobs).Digest(), serial.Digest()) << "run " << run;
+  }
+}
+
 }  // namespace
 }  // namespace stalloc

@@ -1,8 +1,7 @@
 // Thread-safety coverage for the sharded fleet's concurrency model. The invariant is
-// shard-confinement, not locking: each worker thread owns its shard's devices, allocators and
-// stats hooks outright between scheduler boundaries, so AllocatorBase's unguarded counters and
-// AllocatorStatsHook callbacks are safe exactly because no two threads ever touch the same
-// allocator. These tests drive that model hard — per-shard replay over a WorkerPool, full
+// shard-confinement, not locking: each worker thread owns its shard's devices and allocators
+// outright between scheduler boundaries, so AllocatorBase's unguarded counters are safe exactly
+// because no two threads ever touch the same allocator. These tests drive that model hard — per-shard replay over a WorkerPool, full
 // RunCluster calls racing each other — and are the payload of the STALLOC_SANITIZE=thread CI
 // job: any cross-thread leak in the shard partitioning shows up as a TSan report here.
 
@@ -38,55 +37,65 @@ Trace MakeChurnTrace(int blocks, uint64_t size) {
   return trace;
 }
 
-// Counts hook callbacks and cross-checks them against AllocatorStats afterwards.
-class CountingHook final : public AllocatorStatsHook {
- public:
-  void OnMalloc(uint64_t size, double, const AllocatorSnapshot&) override {
-    ++mallocs;
-    malloc_bytes += size;
-  }
-  void OnFree(uint64_t size, double, const AllocatorSnapshot&) override {
-    ++frees;
-    free_bytes += size;
-  }
-  void OnOom(uint64_t, const AllocatorSnapshot&) override { ++ooms; }
-
-  uint64_t mallocs = 0, frees = 0, ooms = 0;
-  uint64_t malloc_bytes = 0, free_bytes = 0;
-};
-
 // One shard's worth of state, owned by whichever pool thread picks it up.
 struct ShardFixture {
   explicit ShardFixture(uint64_t capacity) : device(capacity), alloc(&device) {}
   SimDevice device;
   CachingAllocator alloc;
-  CountingHook hook;
   Trace trace;
   ReplayEngineResult result;
 };
 
-// The production access pattern: N shards replayed concurrently over a WorkerPool, each with a
-// stats hook installed. Everything is shard-local; stats and hook counters must come out exact.
-TEST(ThreadSafety, StatsAndHooksUnderConcurrentPerShardReplay) {
+ReplayEngineResult ReplayOn(const Trace& trace, Allocator* alloc) {
+  ReplayEngine engine(nullptr);
+  ReplaySource src;
+  src.trace = &trace;
+  src.alloc = alloc;
+  engine.AddSource(src);
+  return engine.Run();
+}
+
+// Replays every shard concurrently over a WorkerPool of `workers` threads.
+void ReplayShards(std::vector<std::unique_ptr<ShardFixture>>* shards, size_t workers) {
+  WorkerPool pool(workers);
+  pool.ParallelFor(shards->size(), [&](size_t s) {
+    ShardFixture& shard = *(*shards)[s];
+    shard.result = ReplayOn(shard.trace, &shard.alloc);
+  });
+}
+
+// A shard's stats must equal those of the same trace replayed alone on this thread: any
+// cross-shard write would show as a counter off by another shard's traffic.
+void ExpectStatsMatchSerialReplay(const ShardFixture& shard, uint64_t capacity, int s) {
+  SimDevice device(capacity);
+  CachingAllocator alloc(&device);
+  const ReplayEngineResult result = ReplayOn(shard.trace, &alloc);
+  const AllocatorStats& want = alloc.stats();
+  const AllocatorStats& got = shard.alloc.stats();
+  EXPECT_EQ(shard.result.oom, result.oom) << s;
+  EXPECT_EQ(got.allocated_current, want.allocated_current) << s;
+  EXPECT_EQ(got.allocated_peak, want.allocated_peak) << s;
+  EXPECT_EQ(got.reserved_peak, want.reserved_peak) << s;
+  EXPECT_EQ(got.num_mallocs, want.num_mallocs) << s;
+  EXPECT_EQ(got.num_frees, want.num_frees) << s;
+  EXPECT_EQ(got.num_oom, want.num_oom) << s;
+  EXPECT_EQ(got.live_blocks, want.live_blocks) << s;
+  EXPECT_EQ(got.bytes_allocated_total, want.bytes_allocated_total) << s;
+  EXPECT_EQ(got.bytes_freed_total, want.bytes_freed_total) << s;
+}
+
+// The production access pattern: N shards replayed concurrently over a WorkerPool. Everything
+// is shard-local; every stats counter must come out exact.
+TEST(ThreadSafety, StatsUnderConcurrentPerShardReplay) {
   constexpr int kShards = 8;
   constexpr int kBlocks = 400;
+  constexpr uint64_t kCapacity = 1 * GiB;
   std::vector<std::unique_ptr<ShardFixture>> shards;
   for (int s = 0; s < kShards; ++s) {
-    shards.push_back(std::make_unique<ShardFixture>(1 * GiB));
+    shards.push_back(std::make_unique<ShardFixture>(kCapacity));
     shards.back()->trace = MakeChurnTrace(kBlocks, (1 + s) * MiB);
-    shards.back()->alloc.SetStatsHook(&shards.back()->hook);
   }
-
-  WorkerPool pool(4);
-  pool.ParallelFor(shards.size(), [&](size_t s) {
-    ShardFixture& shard = *shards[s];
-    ReplayEngine engine(nullptr);
-    ReplaySource src;
-    src.trace = &shard.trace;
-    src.alloc = &shard.alloc;
-    engine.AddSource(src);
-    shard.result = engine.Run();
-  });
+  ReplayShards(&shards, 4);
 
   for (int s = 0; s < kShards; ++s) {
     const ShardFixture& shard = *shards[s];
@@ -95,39 +104,26 @@ TEST(ThreadSafety, StatsAndHooksUnderConcurrentPerShardReplay) {
     EXPECT_EQ(stats.num_mallocs, static_cast<uint64_t>(kBlocks)) << s;
     EXPECT_EQ(stats.num_frees, static_cast<uint64_t>(kBlocks)) << s;
     EXPECT_EQ(stats.allocated_current, 0u) << s;
-    // The hook saw exactly what the stats counted — same thread, same shard, no races.
-    EXPECT_EQ(shard.hook.mallocs, stats.num_mallocs) << s;
-    EXPECT_EQ(shard.hook.frees, stats.num_frees) << s;
-    EXPECT_EQ(shard.hook.malloc_bytes, stats.bytes_allocated_total) << s;
-    EXPECT_EQ(shard.hook.free_bytes, stats.bytes_freed_total) << s;
-    EXPECT_GT(stats.malloc_latency_us, 0.0) << s;  // latency armed while the hook is installed
+    EXPECT_EQ(stats.bytes_allocated_total, stats.bytes_freed_total) << s;
+    ExpectStatsMatchSerialReplay(shard, kCapacity, s);
   }
 }
 
-// OOM callbacks stay shard-confined too: every shard's allocator is driven into failure
-// concurrently and each hook must count only its own shard's failed mallocs.
-TEST(ThreadSafety, OomCallbacksStayShardConfined) {
+// OOM accounting stays shard-confined too: every shard's allocator is driven into failure
+// concurrently and each must count only its own shard's failed mallocs.
+TEST(ThreadSafety, OomCountsStayShardConfined) {
   constexpr int kShards = 6;
+  constexpr uint64_t kCapacity = 8 * MiB;  // far too small for the trace
   std::vector<std::unique_ptr<ShardFixture>> shards;
   for (int s = 0; s < kShards; ++s) {
-    shards.push_back(std::make_unique<ShardFixture>(8 * MiB));  // far too small for the trace
+    shards.push_back(std::make_unique<ShardFixture>(kCapacity));
     shards.back()->trace = MakeChurnTrace(64, 1 * MiB);
-    shards.back()->alloc.SetStatsHook(&shards.back()->hook);
   }
-  WorkerPool pool(3);
-  pool.ParallelFor(shards.size(), [&](size_t s) {
-    ShardFixture& shard = *shards[s];
-    ReplayEngine engine(nullptr);
-    ReplaySource src;
-    src.trace = &shard.trace;
-    src.alloc = &shard.alloc;
-    engine.AddSource(src);
-    shard.result = engine.Run();
-  });
+  ReplayShards(&shards, 3);
   for (int s = 0; s < kShards; ++s) {
     EXPECT_TRUE(shards[s]->result.oom) << s;
-    EXPECT_EQ(shards[s]->hook.ooms, shards[s]->alloc.stats().num_oom) << s;
-    EXPECT_GT(shards[s]->hook.ooms, 0u) << s;
+    EXPECT_GT(shards[s]->alloc.stats().num_oom, 0u) << s;
+    ExpectStatsMatchSerialReplay(*shards[s], kCapacity, s);
   }
 }
 

@@ -1,4 +1,5 @@
-// Round-trip coverage for src/trace/trace_io.*: CSV and binary serialization must be lossless,
+// Round-trip coverage for src/trace/trace_io.* and the columnar v2 format: CSV and v2
+// serialization must be lossless,
 // and a write -> read -> re-write cycle must reproduce the first serialization byte-for-byte
 // (the determinism contract external plan-synthesis tooling relies on, §8).
 
@@ -72,7 +73,17 @@ void ExpectTracesEqual(const Trace& a, const Trace& b) {
   ASSERT_EQ(a.size(), b.size());
   EXPECT_EQ(a.name(), b.name());
   ASSERT_EQ(a.phases().size(), b.phases().size());
+  for (size_t i = 0; i < a.phases().size(); ++i) {
+    EXPECT_EQ(a.phases()[i].ToString(), b.phases()[i].ToString()) << "phase " << i;
+    EXPECT_EQ(a.phases()[i].start, b.phases()[i].start) << "phase " << i;
+    EXPECT_EQ(a.phases()[i].end, b.phases()[i].end) << "phase " << i;
+  }
   ASSERT_EQ(a.layers().size(), b.layers().size());
+  for (size_t i = 0; i < a.layers().size(); ++i) {
+    EXPECT_EQ(a.layers()[i].name, b.layers()[i].name) << "layer " << i;
+    EXPECT_EQ(a.layers()[i].start, b.layers()[i].start) << "layer " << i;
+    EXPECT_EQ(a.layers()[i].end, b.layers()[i].end) << "layer " << i;
+  }
   for (size_t i = 0; i < a.size(); ++i) {
     const MemoryEvent& ea = a.events()[i];
     const MemoryEvent& eb = b.events()[i];
@@ -100,52 +111,25 @@ TEST(TraceIo, CsvRoundTripIsByteIdentical) {
   }
 }
 
-TEST(TraceIo, BinaryRoundTripIsLossless) {
-  for (const Trace& original : {TinyTrace(), TrainingTrace(), ServingTrace()}) {
-    std::ostringstream os;
-    WriteTraceBinary(original, os);
-    std::istringstream is(os.str());
-    Trace reread;
-    TraceIoError err;
-    ASSERT_TRUE(ReadTraceBinary(is, &reread, &err)) << err.ToString();
-    ExpectTracesEqual(original, reread);
-    // Binary -> binary is byte-identical too.
-    std::ostringstream os2;
-    WriteTraceBinary(reread, os2);
-    EXPECT_EQ(os.str(), os2.str());
-  }
-}
-
-TEST(TraceIo, CsvAndBinaryAgree) {
-  const Trace original = TrainingTrace();
-  std::ostringstream bin;
-  WriteTraceBinary(original, bin);
-  std::istringstream bin_is(bin.str());
-  Trace from_binary;
-  TraceIoError err;
-  ASSERT_TRUE(ReadTraceBinary(bin_is, &from_binary, &err)) << err.ToString();
-  EXPECT_EQ(CsvOf(original), CsvOf(from_binary));
-}
-
 TEST(TraceIo, FileRoundTrip) {
   const Trace original = TinyTrace();
   const std::string csv_path = ::testing::TempDir() + "/trace_io_test.csv";
-  const std::string bin_path = ::testing::TempDir() + "/trace_io_test.bin";
+  const std::string v2_path = ::testing::TempDir() + "/trace_io_test.stlc";
   ASSERT_TRUE(WriteTraceCsvFile(original, csv_path));
-  ASSERT_TRUE(WriteTraceBinaryFile(original, bin_path));
-  Trace from_csv, from_bin;
+  ASSERT_TRUE(WriteTraceV2File(original, v2_path));
+  Trace from_csv;
   TraceIoError err;
   ASSERT_TRUE(ReadTraceCsvFile(csv_path, &from_csv, &err)) << err.ToString();
-  ASSERT_TRUE(ReadTraceBinaryFile(bin_path, &from_bin, &err)) << err.ToString();
+  TraceView view;
+  ASSERT_TRUE(view.Open(v2_path, &err)) << err.ToString();
   ExpectTracesEqual(original, from_csv);
-  ExpectTracesEqual(original, from_bin);
+  ExpectTracesEqual(original, view.Materialize());
   std::remove(csv_path.c_str());
-  std::remove(bin_path.c_str());
+  std::remove(v2_path.c_str());
 }
 
 TEST(TraceIo, WriteToUnwritablePathFails) {
   EXPECT_FALSE(WriteTraceCsvFile(TinyTrace(), "/nonexistent-dir/trace.csv"));
-  EXPECT_FALSE(WriteTraceBinaryFile(TinyTrace(), "/nonexistent-dir/trace.bin"));
   EXPECT_FALSE(WriteTraceV2File(TinyTrace(), "/nonexistent-dir/trace.stlc"));
 }
 
@@ -153,7 +137,6 @@ TEST(TraceIo, ReadersReportMissingFiles) {
   Trace out;
   TraceIoError err;
   EXPECT_FALSE(ReadTraceCsvFile("/nonexistent-dir/trace.csv", &out, &err));
-  EXPECT_FALSE(ReadTraceBinaryFile("/nonexistent-dir/trace.bin", &out, &err));
   EXPECT_FALSE(ReadTraceAnyFile("/nonexistent-dir/trace.any", &out, &err));
   TraceView view;
   EXPECT_FALSE(view.Open("/nonexistent-dir/trace.stlc", &err));
@@ -180,19 +163,6 @@ TEST(TraceIo, CsvRejectsNonPositiveLifespan) {
   TraceIoError err;
   ASSERT_FALSE(ReadTraceCsv(is, &out, &err));
   EXPECT_NE(err.message.find("lifespan"), std::string::npos) << err.message;
-}
-
-TEST(TraceIo, BinaryRejectsTruncationWithByteOffset) {
-  std::ostringstream os;
-  WriteTraceBinary(TinyTrace(), os);
-  const std::string full = os.str();
-  std::istringstream is(full.substr(0, full.size() - 7));
-  Trace out;
-  TraceIoError err;
-  ASSERT_FALSE(ReadTraceBinary(is, &out, &err));
-  EXPECT_NE(err.message.find("truncated"), std::string::npos) << err.message;
-  EXPECT_GT(err.byte_offset, 0u);
-  EXPECT_LE(err.byte_offset, full.size());
 }
 
 // --- columnar v2 ---
@@ -394,19 +364,16 @@ TEST(TraceV2, RejectsCorruptedColumns) {
 TEST(TraceV2, ReadTraceAnyFileSniffsAllFormats) {
   const Trace original = TinyTrace();
   const std::string csv_path = ::testing::TempDir() + "/trace_any.csv";
-  const std::string bin_path = ::testing::TempDir() + "/trace_any.bin";
   const std::string v2_path = ::testing::TempDir() + "/trace_any.stlc";
   ASSERT_TRUE(WriteTraceCsvFile(original, csv_path));
-  ASSERT_TRUE(WriteTraceBinaryFile(original, bin_path));
   ASSERT_TRUE(WriteTraceV2File(original, v2_path));
-  for (const std::string& path : {csv_path, bin_path, v2_path}) {
+  for (const std::string& path : {csv_path, v2_path}) {
     Trace out;
     TraceIoError err;
     ASSERT_TRUE(ReadTraceAnyFile(path, &out, &err)) << path << ": " << err.ToString();
     ExpectTracesEqual(original, out);
   }
   std::remove(csv_path.c_str());
-  std::remove(bin_path.c_str());
   std::remove(v2_path.c_str());
 }
 

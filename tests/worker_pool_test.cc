@@ -5,6 +5,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <thread>
 #include <vector>
 
@@ -64,6 +65,30 @@ TEST(WorkerPool, SingleItemBatchSkipsTheThreadMachinery) {
   std::thread::id ran;
   pool.ParallelFor(1, [&](size_t) { ran = std::this_thread::get_id(); });
   EXPECT_EQ(ran, caller);  // n == 1 runs inline regardless of pool size
+}
+
+// Back-to-back batches smaller than the pool leave threads idle, and an idle thread may wake
+// only after its batch already finished. It must then sit the batch out: joining late would
+// read the next batch's index counter with this batch's (by then dead) function, or a null
+// one. Two distinct function objects alternate so a cross-batch call lands in the wrong array.
+TEST(WorkerPool, LateWakersNeverRunAFinishedBatch) {
+  WorkerPool pool(4);
+  std::vector<std::atomic<int>> a(4);
+  std::vector<std::atomic<int>> b(4);
+  for (int batch = 0; batch < 50000; ++batch) {
+    const size_t n = 2 + static_cast<size_t>(batch % 3);
+    std::vector<std::atomic<int>>& hits = batch % 2 == 0 ? a : b;
+    for (auto& h : hits) h.store(0);
+    if (batch % 2 == 0) {
+      const std::function<void(size_t)> fn = [&a](size_t i) { a[i].fetch_add(1); };
+      pool.ParallelFor(n, fn);
+    } else {
+      pool.ParallelFor(n, [&b](size_t i) { b[i].fetch_add(1); });
+    }
+    for (size_t i = 0; i < n; ++i) {
+      ASSERT_EQ(hits[i].load(), 1) << "batch " << batch << " index " << i;
+    }
+  }
 }
 
 }  // namespace
